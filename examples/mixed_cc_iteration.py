@@ -5,13 +5,15 @@ Performance critical parts of an application can be selectively ported
 to execute over PaRSEC and then be re-integrated seamlessly into the
 larger application which is oblivious to this transformation."
 
-This example assembles a full CCSD iteration (fourteen TCE sub-kernels
-over seven barrier-separated levels) and runs it three ways on the same
-simulated machine:
+This example runs a full CCSD iteration (fourteen TCE sub-kernels over
+seven barrier-separated levels, the ``ccsd`` workload) three ways on
+the same simulated machine, by giving ``repro.run`` one runtime per
+level:
 
 1. fully legacy (the original NWChem execution model),
-2. partially ported (only ``icsd_t2_7`` and the two expensive ladder
-   terms run over PaRSEC, as in the paper's incremental approach),
+2. partially ported (only the levels holding ``icsd_t2_7`` and the two
+   expensive ladder terms run over PaRSEC, as in the paper's
+   incremental approach),
 3. fully ported.
 
 All three produce the same correlation energy; the timings show the
@@ -20,47 +22,38 @@ porting payoff growing with coverage.
 Run:  python examples/mixed_cc_iteration.py
 """
 
+import repro
 from repro.analysis.report import format_table
-from repro.core.integration import NwchemDriver
-from repro.core.variants import V5
-from repro.ga.runtime import GlobalArrays
-from repro.sim.cluster import Cluster, ClusterConfig, DataMode
-from repro.tce.cc_iteration import build_ccsd_iteration
-from repro.tce.molecules import small_system
 from repro.tce.reference import correlation_energy
 
+N_LEVELS = 7
+#: icsd_t2_7 and the pp ladder icsd_t2_8 share level 3; the ladder
+#: icsd_t2_13 sits in level 6
+T2_7_AND_LADDERS = ["legacy"] * 3 + ["v5", "legacy", "legacy", "v5"]
 
-def run_iteration(parsec_kernels, label):
-    cluster = Cluster(
-        ClusterConfig(n_nodes=8, cores_per_node=4, data_mode=DataMode.REAL)
-    )
-    ga = GlobalArrays(cluster)
-    iteration = build_ccsd_iteration(ga, small_system().orbital_space(), seed=7)
-    driver = NwchemDriver(cluster, ga, variant=V5, parsec_kernels=parsec_kernels)
-    result = driver.run(iteration.subroutines)
-    energy = correlation_energy(iteration.i2.flat_values())
-    ported = sum(1 for k in result.kernels if k.mode == "parsec")
+
+def run_iteration(plan, label):
+    config = repro.RunConfig(n_nodes=8, cores_per_node=4, seed=7)
+    result = repro.run("ccsd:small", runtime=plan, config=config)
     return {
         "label": label,
         "time": result.execution_time,
-        "ported": f"{ported}/{len(result.kernels)}",
-        "energy": energy,
-        "kernels": result.kernels,
+        "ported": f"{plan.count('v5')}/{N_LEVELS}",
+        "energy": correlation_energy(result.output.flat_values()),
+        "result": result,
     }
 
 
 def main() -> None:
     runs = [
-        run_iteration(set(), "fully legacy"),
-        run_iteration(
-            {"icsd_t2_7", "icsd_t2_8", "icsd_t2_13"}, "t2_7 + ladders over PaRSEC"
-        ),
-        run_iteration(None, "fully ported"),
+        run_iteration(["legacy"] * N_LEVELS, "fully legacy"),
+        run_iteration(T2_7_AND_LADDERS, "t2_7 + ladders over PaRSEC"),
+        run_iteration(["v5"] * N_LEVELS, "fully ported"),
     ]
 
     print(
         format_table(
-            ["configuration", "kernels ported", "iteration time (s)", "speedup"],
+            ["configuration", "levels ported", "iteration time (s)", "speedup"],
             [
                 [
                     run["label"],
@@ -74,15 +67,20 @@ def main() -> None:
         )
     )
 
-    print("\nper-kernel timings of the partially ported run:")
-    for kernel in runs[1]["kernels"]:
-        print(f"  {kernel.name:12s} [{kernel.mode:6s}] {kernel.duration:.4f}s")
+    print("\nper-step timings of the partially ported run:")
+    for step in runs[1]["result"].levels:
+        print(f"  {step.runtime_name:6s} {step.execution_time:.4f}s")
 
     print("\ncorrelation energies (must agree to the 14th digit):")
     for run in runs:
         print(f"  {run['label']:28s} {run['energy']:+.15e}")
-    spread = max(r["energy"] for r in runs) - min(r["energy"] for r in runs)
+    energies = [r["energy"] for r in runs]
+    spread = max(energies) - min(energies)
     print(f"  absolute spread: {abs(spread):.2e}")
+    ok = spread <= 1e-13 * abs(energies[0])
+    print("OK" if ok else "MISMATCH")
+    if not ok:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

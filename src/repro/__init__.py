@@ -22,13 +22,12 @@ subpackages are the real API surface:
 The one-call entry point is :func:`repro.run`::
 
     import repro
-    result = repro.run("tiny", runtime="parsec", variant=repro.V5)
+    result = repro.run("t2_7:tiny", runtime="parsec", variant=repro.V5)
     print(result.summary())
     print(result.report.to_json_line())
 """
 
 from repro.core.api import RunConfig, StealPolicy, run
-from repro.core.executor import run_ptg
 from repro.core.variants import PAPER_VARIANTS, V1, V2, V3, V4, V5, variant_by_name
 from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyRuntime
@@ -44,7 +43,6 @@ __all__ = [
     "run",
     "RunConfig",
     "StealPolicy",
-    "run_ptg",
     "MetricsRegistry",
     "RunReport",
     "RunResult",

@@ -17,13 +17,11 @@ Layers, matching Section III-B and IV of the paper:
   ``max_L1 - L1 + offset*P`` of Section IV-C.
 - :mod:`repro.core.api` — the unified :func:`repro.run` facade over
   every runtime (legacy, PaRSEC v1..v5, DTD) with phase timers and
-  structured run reports.
-- :mod:`repro.core.executor` — :func:`run_ptg`, one Section III-B
-  pipeline pass for a single subroutine on an existing cluster (the
-  building block the facade sequences per level).
-- :mod:`repro.core.integration` — the NWChem-level driver that swaps
-  the legacy implementation for the PaRSEC one per subroutine, with
-  the rest of the program oblivious (Figure 3).
+  structured run reports. Its level sequencer runs each workload level
+  through the Section III-B pipeline (inspect → build PTG → execute)
+  or a legacy/DTD runtime, and a per-level runtime plan swaps PaRSEC in
+  level by level while the rest of the iteration stays legacy
+  (Figure 3).
 """
 
 from repro.core.variants import (
@@ -39,11 +37,10 @@ from repro.core.variants import (
 from repro.core.metadata import Metadata, ChainMeta, GemmMeta
 from repro.core.inspector import InspectionCache, inspect_subroutine
 from repro.core.ptg_build import build_ccsd_ptg
-from repro.core.executor import CcsdRun, run_ptg
-from repro.core.api import RunConfig, precompute_inspection, run
-from repro.core.integration import NwchemDriver
+from repro.core.api import MixedResult, RunConfig, precompute_inspection, run
 
 __all__ = [
+    "MixedResult",
     "RunConfig",
     "run",
     "PAPER_VARIANTS",
@@ -61,7 +58,4 @@ __all__ = [
     "inspect_subroutine",
     "precompute_inspection",
     "build_ccsd_ptg",
-    "CcsdRun",
-    "run_ptg",
-    "NwchemDriver",
 ]

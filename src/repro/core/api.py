@@ -15,12 +15,15 @@ bare scale name still resolves through the deprecated t2_7 shim. A
 multi-level workload runs level by level with an explicit barrier in
 between — the legacy application's own synchronization structure
 (Section III-A) — and the facade merges the per-level results into one.
+``runtime=`` may also list one runtime per level: Fig. 3's gradual
+port, where some levels run over PaRSEC and the rest stay legacy.
 
 The phase timers instrument the Section III-B pipeline on the virtual
 clock: *inspection* (metadata collection), *ptg_build* (symbolic graph
-construction), *execution*, and *validation* (output checksum in REAL
-data mode). The legacy and DTD paths have no inspector/PTG, so they
-record only *execution* (and *validation*).
+construction), *execution* (one entry per level, barriers excluded;
+one per run of consecutive legacy levels), and *validation* (output
+checksum in REAL data mode). The legacy and DTD paths have no
+inspector/PTG, so they record only *execution* (and *validation*).
 """
 
 from __future__ import annotations
@@ -28,58 +31,35 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from repro.core.inspector import InspectionCache, inspect_subroutine
 from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.variants import V5, VariantSpec, variant_by_name
 from repro.ga.cache import RemoteCachePolicy
 from repro.legacy.runtime import LegacyConfig, LegacyRuntime
-from repro.obs.result import RunResult
+from repro.obs.result import MixedResult, RunResult
 from repro.parsec.runtime import ParsecRuntime
 from repro.parsec.stealing import StealPolicy
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
 from repro.sim.cost import MachineModel
 from repro.sim.network import CoalescePolicy
 from repro.tce.molecules import SCALE_PRESETS
-from repro.tce.t2_7 import T27Workload
 from repro.util.errors import ConfigurationError
 from repro.workloads import build_workload as _build_registered_workload
 from repro.workloads import parse_workload_token
 from repro.workloads.base import Workload
 
-__all__ = ["RunConfig", "StealPolicy", "precompute_inspection", "run"]
+__all__ = [
+    "MixedResult",
+    "RunConfig",
+    "StealPolicy",
+    "precompute_inspection",
+    "run",
+]
 
-#: ``runtime=`` spellings accepted by :func:`run`, besides "parsec".
+#: ``runtime=`` shorthands for PaRSEC with one named variant.
 _VARIANT_RUNTIMES = ("v1", "v2", "v3", "v4", "v5")
-
-#: every additive counter a multi-level PaRSEC run sums across levels
-_PARSEC_SUM_FIELDS = (
-    "n_tasks",
-    "messages_remote",
-    "bytes_remote",
-    "deliveries_local",
-    "task_retries",
-    "retransmits",
-    "tasks_recomputed",
-    "tasks_reassigned",
-    "nodes_crashed",
-    "recovery_overhead_s",
-    "steal_requests",
-    "steals_granted",
-    "steals_denied",
-    "chains_migrated",
-    "migrated_flops",
-    "steal_forwarded_bytes",
-)
-
-_DTD_SUM_FIELDS = (
-    "n_tasks",
-    "n_edges",
-    "insertion_time",
-    "messages_remote",
-    "bytes_remote",
-)
 
 
 @dataclass(frozen=True)
@@ -182,12 +162,28 @@ def _build_workload(token: str, config: RunConfig) -> Workload:
     )
 
 
-def _workload_levels(workload) -> list:
-    """The workload's barrier-separated subroutine levels."""
-    levels = getattr(workload, "levels", None)
-    if levels is not None:
-        return list(levels())
-    return [workload.subroutine]
+def _resolve_runtime(
+    name: str, variant: VariantSpec = V5
+) -> tuple[str, Optional[VariantSpec]]:
+    """One ``runtime=`` name as ``(kind, variant)``.
+
+    ``kind`` is ``"legacy"``, ``"dtd"``, or ``"parsec"``; the variant is
+    set for PaRSEC only — named by ``"v1"``..``"v5"``, or ``variant``
+    for plain ``"parsec"``.
+    """
+    key = name.lower()
+    if key in ("legacy", "original"):
+        return "legacy", None
+    if key == "dtd":
+        return "dtd", None
+    if key == "parsec":
+        return "parsec", variant
+    if key in _VARIANT_RUNTIMES:
+        return "parsec", variant_by_name(key)
+    raise ConfigurationError(
+        f"unknown runtime {name!r}: expected 'parsec', 'legacy', "
+        f"'dtd', or one of {_VARIANT_RUNTIMES}"
+    )
 
 
 def _charge_barrier(cluster: Cluster) -> None:
@@ -196,19 +192,27 @@ def _charge_barrier(cluster: Cluster) -> None:
     cluster.run()
 
 
-def _merge_level_results(results, execution_time: float, sum_fields, **extra):
-    """Fold per-level results into one, summing the additive counters.
+def _merge_level_results(results, execution_time: float):
+    """Fold per-level results of one runtime into one.
 
-    Per-level fault counters are deltas over that level's execution, so
-    summing them is exact; the last level's result supplies everything
-    non-additive (variant tag, result class).
+    Sums the result class's ``_sum_fields`` (dict-valued counters key
+    by key). Per-level fault counters are deltas over that level's
+    execution, so summing them is exact; the last level's result
+    supplies everything non-additive (variant tag, result class).
     """
-    totals = {
-        name: sum(getattr(result, name) for result in results)
-        for name in sum_fields
-    }
+    totals: dict = {}
+    for name in results[-1]._sum_fields:
+        values = [getattr(result, name) for result in results]
+        if isinstance(values[0], dict):
+            merged: dict = {}
+            for value in values:
+                for key, count in value.items():
+                    merged[key] = merged.get(key, 0) + count
+            totals[name] = merged
+        else:
+            totals[name] = sum(values)
     return dataclasses.replace(
-        results[-1], execution_time=execution_time, **totals, **extra
+        results[-1], execution_time=execution_time, **totals
     )
 
 
@@ -236,20 +240,16 @@ def precompute_inspection(
     params when the token carries none. Multi-level workloads are
     inspected level by level. ``codes`` may mix variant names with
     non-PaRSEC runtimes (``"original"``/``"legacy"``/``"dtd"`` are
-    skipped — they have no inspection phase). Returns ``cache`` (a
+    skipped — they have no inspection phase); an unknown name raises
+    :class:`~repro.util.errors.ConfigurationError`. Returns ``cache`` (a
     fresh one when ``None``).
     """
     cache = cache if cache is not None else InspectionCache()
     variants = []
     seen_heights = set()
     for code in codes:
-        name = code.lower()
-        if name == "parsec":
-            name = V5.name
-        if name not in _VARIANT_RUNTIMES:
-            continue
-        variant = variant_by_name(name)
-        if variant.segment_height not in seen_heights:
+        _, variant = _resolve_runtime(code)
+        if variant is not None and variant.segment_height not in seen_heights:
             seen_heights.add(variant.segment_height)
             variants.append(variant)
     if not variants:
@@ -271,80 +271,88 @@ def precompute_inspection(
         skew_factor=skew_factor,
         skew_period=skew_period,
     )
-    for subroutine in _workload_levels(workload_obj):
+    for subroutine in workload_obj.levels():
         for variant in variants:
             cache.precompute(subroutine, workload_obj.cluster, variant)
     return cache
 
 
-def _run_legacy(cluster, workload, levels, config: RunConfig):
-    lrt = LegacyRuntime(cluster, workload.ga, config.legacy)
-    if len(levels) == 1:
-        return lrt.execute_subroutine(levels[0])
-    return lrt.execute([list(subroutine.chains) for subroutine in levels])
+def _plan_steps(levels, plan) -> list:
+    """Group a per-level plan into execution steps.
+
+    A maximal run of consecutive legacy levels is one step: the CGP
+    rank barrier is its level barrier. Every other level is a step of
+    its own. Each step is ``(kind, variant, subroutines)``.
+    """
+    steps: list = []
+    for subroutine, (kind, variant) in zip(levels, plan):
+        if kind == "legacy" and steps and steps[-1][0] == "legacy":
+            steps[-1][2].append(subroutine)
+        else:
+            steps.append((kind, variant, [subroutine]))
+    return steps
 
 
-def _run_dtd(cluster, levels):
-    from repro.core.dtd_port import run_over_dtd
-
-    start = cluster.engine.now
-    results = []
-    for index, subroutine in enumerate(levels):
-        if index:
-            _charge_barrier(cluster)
-        results.append(run_over_dtd(cluster, subroutine))
-    if len(results) == 1:
-        return results[0]
-    return _merge_level_results(
-        results, cluster.engine.now - start, _DTD_SUM_FIELDS
-    )
-
-
-def _run_parsec(cluster, levels, variant: VariantSpec, config: RunConfig):
+def _execute_step(workload, kind, variant, subroutines, config: RunConfig):
+    """Run one step of a plan on the workload's cluster."""
+    cluster = workload.cluster
     metrics = cluster.metrics
-    start = cluster.engine.now
-    results = []
-    for index, subroutine in enumerate(levels):
-        if index:
-            _charge_barrier(cluster)
-        with metrics.phase("inspection"):
-            metadata = inspect_subroutine(
-                subroutine, cluster, variant, cache=config.inspection_cache
-            )
-        with metrics.phase("ptg_build"):
-            ptg = build_ccsd_ptg(variant, metadata)
-        prt = ParsecRuntime(
-            cluster,
-            policy=config.policy,
-            stealing=config.stealing,
-            coalescing=config.coalescing,
-        )
+    if kind == "legacy":
+        legacy = LegacyRuntime(cluster, workload.ga, config.legacy)
         with metrics.phase("execution"):
-            results.append(prt.execute(ptg, metadata, validate=config.validate))
-    if len(results) == 1:
-        result = results[0]
-    else:
-        per_class: dict[str, int] = {}
-        for level_result in results:
-            for cls, count in level_result.tasks_per_class.items():
-                per_class[cls] = per_class.get(cls, 0) + count
-        result = _merge_level_results(
-            results,
-            cluster.engine.now - start,
-            _PARSEC_SUM_FIELDS,
-            tasks_per_class=per_class,
+            return legacy.execute([list(sub.chains) for sub in subroutines])
+    (subroutine,) = subroutines
+    if kind == "dtd":
+        from repro.core.dtd_port import run_over_dtd
+
+        with metrics.phase("execution"):
+            return run_over_dtd(cluster, subroutine)
+    with metrics.phase("inspection"):
+        metadata = inspect_subroutine(
+            subroutine, cluster, variant, cache=config.inspection_cache
         )
+    with metrics.phase("ptg_build"):
+        ptg = build_ccsd_ptg(variant, metadata)
+    parsec = ParsecRuntime(
+        cluster,
+        policy=config.policy,
+        stealing=config.stealing,
+        coalescing=config.coalescing,
+    )
+    with metrics.phase("execution"):
+        result = parsec.execute(ptg, metadata, validate=config.validate)
     result.variant = variant.name
     return result
 
 
+def _run_plan(workload, levels, plan, config: RunConfig) -> RunResult:
+    """The level sequencer: execute each step, one barrier between steps.
+
+    A single step returns its own result; a one-runtime plan merges its
+    per-level results; a mixed plan returns a :class:`MixedResult`.
+    """
+    cluster = workload.cluster
+    start = cluster.engine.now
+    results = []
+    for index, step in enumerate(_plan_steps(levels, plan)):
+        if index:
+            _charge_barrier(cluster)
+        results.append(_execute_step(workload, *step, config))
+    if len(results) == 1:
+        return results[0]
+    execution_time = cluster.engine.now - start
+    if len(set(plan)) == 1:
+        return _merge_level_results(results, execution_time)
+    return MixedResult(execution_time=execution_time, levels=results)
+
+
 def run(
-    workload: Union[str, Workload, T27Workload] = "small",
-    runtime: str = "parsec",
+    workload: Union[str, Workload] = "t2_7:small",
+    runtime: Union[str, Sequence[str]] = "parsec",
     variant: Union[str, VariantSpec] = V5,
     config: Optional[RunConfig] = None,
 ) -> RunResult:
-    """Execute one workload on one runtime; the single public entry point.
+    """Execute one workload; the single public entry point.
 
     Parameters
     ----------
@@ -358,29 +366,23 @@ def run(
     runtime:
         ``"parsec"`` (uses ``variant``), ``"legacy"``/``"original"``,
         ``"dtd"``, or a variant name ``"v1"``..``"v5"`` as shorthand
-        for PaRSEC with that variant.
+        for PaRSEC with that variant. A sequence of such names, one per
+        workload level, is a mixed plan (Fig. 3): each level runs on
+        its own runtime and the result is a :class:`MixedResult`.
     variant:
-        The PTG variant for the PaRSEC path — a
+        The PTG variant for ``"parsec"`` — a
         :class:`~repro.core.variants.VariantSpec` or its name.
 
     Unknown runtime or workload names raise
     :class:`~repro.util.errors.ConfigurationError` before any cluster
-    is built (the CLI maps it to exit code 2).
+    is built (the CLI maps it to exit code 2), as does a plan whose
+    length differs from the workload's level count.
     """
     config = config or RunConfig()
-    name = runtime.lower()
-    if name == "original":
-        name = "legacy"
-    if name in _VARIANT_RUNTIMES:
-        variant = variant_by_name(name)
-        name = "parsec"
-    if name not in ("legacy", "dtd", "parsec"):
-        raise ConfigurationError(
-            f"unknown runtime {runtime!r}: expected 'parsec', 'legacy', "
-            f"'dtd', or one of {_VARIANT_RUNTIMES}"
-        )
     if isinstance(variant, str):
         variant = variant_by_name(variant)
+    names = [runtime] if isinstance(runtime, str) else list(runtime)
+    plan = [_resolve_runtime(name, variant) for name in names]
 
     if isinstance(workload, str):
         _, scale = parse_workload_token(workload)
@@ -389,20 +391,18 @@ def run(
         scale = None
     cluster = workload.cluster
     metrics = cluster.metrics
-    levels = _workload_levels(workload)
+    levels = workload.levels()
+    if isinstance(runtime, str):
+        plan = plan * len(levels)
+    elif len(plan) != len(levels):
+        raise ConfigurationError(
+            f"runtime plan has {len(plan)} entries but workload "
+            f"{workload.name!r} has {len(levels)} levels"
+        )
 
-    if name == "legacy":
-        with metrics.phase("execution"):
-            result: RunResult = _run_legacy(cluster, workload, levels, config)
-    elif name == "dtd":
-        with metrics.phase("execution"):
-            result = _run_dtd(cluster, levels)
-    else:
-        result = _run_parsec(cluster, levels, variant, config)
+    result = _run_plan(workload, levels, plan, config)
 
-    output = getattr(workload, "output", None)
-    if output is None:
-        output = workload.i2
+    output = workload.output
     if config.validate and metrics.enabled and cluster.data_mode is DataMode.REAL:
         with metrics.phase("validation"):
             checksum = float(output.flat_values().sum())
@@ -416,7 +416,7 @@ def run(
         result.report = build_run_report(
             result,
             cluster,
-            workload=getattr(workload, "name", levels[0].name),
+            workload=workload.name,
             scale=scale,
             seed=workload.seed,
         )

@@ -438,13 +438,22 @@ class SweepExecutor:
         pool = ProcessPoolExecutor(max_workers=workers)
         done_count = 0
 
-        def submit(cell: SweepCell) -> None:
+        def submit(cell: SweepCell, source: deque) -> bool:
+            """Submit one cell; False (cell back on ``source``) when the
+            pool is already broken — CPython raises that synchronously
+            from ``submit`` if a worker died while the window refills."""
             deadline = (
                 time.monotonic() + self.timeout
                 if self.timeout is not None
                 else float("inf")
             )
-            inflight[pool.submit(_run_cell, cell)] = (cell, deadline)
+            try:
+                future = pool.submit(_run_cell, cell)
+            except BrokenProcessPool:
+                source.appendleft(cell)
+                return False
+            inflight[future] = (cell, deadline)
+            return True
 
         def respawn() -> ProcessPoolExecutor:
             stats.pool_kills += 1
@@ -454,19 +463,22 @@ class SweepExecutor:
             while queue or solo or inflight:
                 # fill the window; while suspects are pending, run them
                 # alone (an empty window) so breaks are attributable
+                broken = False
                 if solo:
                     if not inflight:
-                        submit(solo.popleft())
+                        broken = not submit(solo.popleft(), solo)
                 else:
-                    while queue and len(inflight) < workers:
-                        submit(queue.popleft())
+                    while queue and len(inflight) < workers and not broken:
+                        broken = not submit(queue.popleft(), queue)
                 wait_s = None
                 if self.timeout is not None and inflight:
                     nearest = min(d for _, d in inflight.values())
                     wait_s = max(0.0, nearest - time.monotonic())
-                finished, _ = wait(
-                    set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
-                )
+                finished: set = set()
+                if not broken:
+                    finished, _ = wait(
+                        set(inflight), timeout=wait_s, return_when=FIRST_COMPLETED
+                    )
                 victims: list[SweepCell] = []
                 for future in finished:
                     cell, _ = inflight.pop(future)
@@ -486,7 +498,7 @@ class SweepExecutor:
                         stats.cell_wall_s[cell.label()] = wall
                         self._note(done_count, total, cell, wall)
                         self._cell_done(cell, True, wall)
-                if victims:
+                if victims or broken:
                     # worker death: every in-flight cell is a suspect
                     suspects = victims + [c for c, _ in inflight.values()]
                     suspects.sort(key=lambda c: order[c.key])

@@ -103,9 +103,9 @@ class LegacyRuntime:
         """Start executing ``levels``; returns ``(done_event, result)``.
 
         Use this form to embed a legacy section inside a larger
-        simulated program (the NWChem integration driver sequences
-        legacy and PaRSEC kernels this way). ``result`` fields other
-        than ``execution_time`` are filled in as ranks finish.
+        simulated program; :meth:`execute` runs it to completion.
+        ``result`` fields other than ``execution_time`` are filled in
+        as ranks finish.
         """
         if not levels:
             raise ConfigurationError("need at least one work level")

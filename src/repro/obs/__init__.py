@@ -29,12 +29,13 @@ metrics are enabled or not.
 
 from repro.obs.registry import DEFAULT_BUCKET_EDGES, NULL_METRICS, MetricsRegistry
 from repro.obs.report import RUN_REPORT_SCHEMA_VERSION, RunReport, read_jsonl, write_jsonl
-from repro.obs.result import RunResult
+from repro.obs.result import MixedResult, RunResult
 
 __all__ = [
     "DEFAULT_BUCKET_EDGES",
     "NULL_METRICS",
     "MetricsRegistry",
+    "MixedResult",
     "RUN_REPORT_SCHEMA_VERSION",
     "RunReport",
     "RunResult",

@@ -43,8 +43,8 @@ class CommThread:
 
     The inbox name carries the runtime's instance id: several PaRSEC
     sections may execute on the same simulated machine over a program's
-    lifetime (the NWChem integration driver runs one per ported
-    kernel), and a finished runtime's comm threads — which park forever
+    lifetime (``repro.run`` runs one per PaRSEC level), and a finished
+    runtime's comm threads — which park forever
     on their inbox — must never steal a later runtime's messages.
     """
 

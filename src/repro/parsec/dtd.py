@@ -158,6 +158,14 @@ class DtdResult(RunResult):
     messages_remote: int = 0
     bytes_remote: float = 0.0
 
+    _sum_fields = (
+        "n_tasks",
+        "n_edges",
+        "insertion_time",
+        "messages_remote",
+        "bytes_remote",
+    )
+
     @property
     def runtime_name(self) -> str:
         return "dtd"

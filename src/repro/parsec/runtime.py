@@ -83,6 +83,20 @@ class ParsecResult(RunResult):
         "nodes_crashed",
         "recovery_overhead_s",
     )
+    _sum_fields = (
+        "n_tasks",
+        "tasks_per_class",
+        "messages_remote",
+        "bytes_remote",
+        "deliveries_local",
+        *_recovery_fields,
+        "steal_requests",
+        "steals_granted",
+        "steals_denied",
+        "chains_migrated",
+        "migrated_flops",
+        "steal_forwarded_bytes",
+    )
 
     @property
     def runtime_name(self) -> str:
@@ -139,7 +153,7 @@ class ParsecRuntime:
         """Instantiate and start executing; returns the completion event.
 
         Use this form to embed a PaRSEC section inside a larger
-        simulated program (the NWChem integration driver does)."""
+        simulated program; :meth:`execute` runs it to completion."""
         if self.graph is not None:
             raise DataflowError("ParsecRuntime.launch() called twice")
         self.md = md

@@ -9,7 +9,8 @@ the task-stealing model applies only within each level."
 fourteen contraction terms of ring / ladder / one-index type spread
 over seven levels, all accumulating into the shared i2 residual —
 suitable for the legacy runtime (levels map directly onto its barrier
-structure) and for the mixed legacy/PaRSEC integration driver.
+structure) and, as the ``ccsd`` workload, for mixed legacy/PaRSEC
+runtime plans.
 """
 
 from __future__ import annotations

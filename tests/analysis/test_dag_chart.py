@@ -56,7 +56,7 @@ class TestDagAnalysis:
         assert v5_profile.average_parallelism > 2 * v1_profile.average_parallelism
 
     def test_span_lower_bounds_simulated_time(self):
-        from repro.core.executor import run_ptg
+        from repro.core.api import run
 
         cluster = Cluster(
             ClusterConfig(n_nodes=4, cores_per_node=2, data_mode=DataMode.SYNTH)
@@ -68,10 +68,10 @@ class TestDagAnalysis:
         profile = profile_task_graph(
             ptg.instantiate(md, cluster.n_nodes), cluster.machine
         )
-        run = run_ptg(cluster, workload.subroutine, V5)
+        result = run(workload, variant=V5)
         # the simulated execution includes transport/overheads the
         # profile ignores, so the span must lower-bound it
-        assert run.execution_time >= 0.9 * profile.critical_path
+        assert result.execution_time >= 0.9 * profile.critical_path
 
 
 class TestAsciiChart:

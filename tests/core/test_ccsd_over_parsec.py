@@ -9,8 +9,8 @@ the independent dense reference.
 import numpy as np
 import pytest
 
-from repro.core.executor import run_ptg
-from repro.core.integration import NwchemDriver
+from repro.core.api import run
+from repro.core.inspector import inspect_subroutine
 from repro.core.variants import PAPER_VARIANTS, V2, V4, V5, variant_by_name
 from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyRuntime
@@ -19,6 +19,8 @@ from repro.sim.trace import TaskCategory
 from repro.tce.molecules import tiny_system
 from repro.tce.reference import compute_reference, correlation_energy
 from repro.tce.t2_7 import build_t2_7
+from repro.tce.terms import TermSpec
+from repro.workloads.ccsd import CcsdWorkload
 
 
 def fresh_workload(n_nodes=4, cores=2, data_mode=DataMode.REAL, seed=7):
@@ -34,19 +36,19 @@ class TestNumericalEquivalence:
     @pytest.mark.parametrize("name", sorted(PAPER_VARIANTS))
     def test_variant_matches_dense_reference(self, name):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, variant_by_name(name))
+        result = run(workload, variant=name)
         expected = compute_reference(workload)
         np.testing.assert_allclose(
             workload.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
-        assert run.result.n_tasks > 0
+        assert result.n_tasks > 0
 
     def test_all_variants_agree_on_correlation_energy_to_14_digits(self):
         """The paper's Section IV-A claim, including the legacy code."""
         energies = {}
         for name in sorted(PAPER_VARIANTS):
             cluster, ga, workload = fresh_workload()
-            run_ptg(cluster, workload.subroutine, variant_by_name(name))
+            run(workload, variant=name)
             energies[name] = correlation_energy(workload.i2.flat_values())
         cluster, ga, workload = fresh_workload()
         LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
@@ -60,7 +62,7 @@ class TestNumericalEquivalence:
         """v1 mimics the original chain order exactly, so even the
         floating-point summation order coincides."""
         cluster, ga, workload = fresh_workload()
-        run_ptg(cluster, workload.subroutine, variant_by_name("v1"))
+        run(workload, variant="v1")
         parsec_values = workload.i2.flat_values()
         cluster, ga, workload = fresh_workload()
         LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
@@ -70,9 +72,10 @@ class TestNumericalEquivalence:
 class TestTaskCounts:
     def test_v5_task_census(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, V5)
+        result = run(workload, variant=V5)
+        metadata = inspect_subroutine(workload.subroutine, cluster, V5)
         sub = workload.subroutine
-        counts = run.result.tasks_per_class
+        counts = result.tasks_per_class
         assert counts["GEMM"] == sub.n_gemms
         assert counts["READ_A"] == sub.n_gemms
         assert counts["READ_B"] == sub.n_gemms
@@ -81,49 +84,51 @@ class TestTaskCounts:
         assert counts["REDUCE"] == sum(c.length - 1 for c in sub.chains)
         assert "DFILL" not in counts  # no multi-GEMM segments at height 1
         assert counts["WRITE_C"] == sum(
-            len(c.write_segs) for c in run.metadata.chains
+            len(c.write_segs) for c in metadata.chains
         )
 
     def test_v1_task_census(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, variant_by_name("v1"))
+        v1 = variant_by_name("v1")
+        result = run(workload, variant=v1)
+        metadata = inspect_subroutine(workload.subroutine, cluster, v1)
         sub = workload.subroutine
-        counts = run.result.tasks_per_class
+        counts = result.tasks_per_class
         assert counts["DFILL"] == sub.n_chains  # one per chain
         assert "REDUCE" not in counts
         assert counts["SORT_I"] == sum(len(c.active_sorts) for c in sub.chains)
         assert counts["WRITE_C_I"] == sum(
             len(c.active_sorts) * len(m.write_segs)
-            for c, m in zip(sub.chains, run.metadata.chains)
+            for c, m in zip(sub.chains, metadata.chains)
         )
 
     def test_v4_has_parallel_sorts_single_write(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, V4)
-        counts = run.result.tasks_per_class
+        counts = run(workload, variant=V4).tasks_per_class
         assert "SORT_I" in counts and "WRITE_C" in counts
         assert "SORT" not in counts and "WRITE_C_I" not in counts
 
     def test_intermediate_segment_height(self):
         cluster, ga, workload = fresh_workload()
         variant = V4.with_overrides(name="v4h2", segment_height=2)
-        run = run_ptg(cluster, workload.subroutine, variant)
+        result = run(workload, variant=variant)
         expected = compute_reference(workload)
         np.testing.assert_allclose(
             workload.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
         # chains of 4 GEMMs -> 2 segments of 2 -> DFILLs exist, 1 reduce
-        assert run.result.tasks_per_class["DFILL"] > 0
-        assert run.result.tasks_per_class["REDUCE"] > 0
+        assert result.tasks_per_class["DFILL"] > 0
+        assert result.tasks_per_class["REDUCE"] > 0
 
 
 class TestBehaviour:
     def test_write_tasks_run_on_owner_nodes(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, V5)
+        run(workload, variant=V5)
+        metadata = inspect_subroutine(workload.subroutine, cluster, V5)
         writes = cluster.trace.filtered(category=TaskCategory.WRITE)
         by_label = {}
-        for chain in run.metadata.chains:
+        for chain in metadata.chains:
             for seg in chain.write_segs:
                 by_label[f"WRITE_C({chain.chain_id}, {seg.index})"] = seg.node
         assert len(writes) == len(by_label)
@@ -132,11 +137,12 @@ class TestBehaviour:
 
     def test_read_tasks_run_on_data_owners(self):
         cluster, ga, workload = fresh_workload()
-        run = run_ptg(cluster, workload.subroutine, V5)
+        run(workload, variant=V5)
+        metadata = inspect_subroutine(workload.subroutine, cluster, V5)
         reads = cluster.trace.filtered(category=TaskCategory.READ_A)
         owners = {
             f"READ_A({c.chain_id}, {g.position})": g.a_owner
-            for c in run.metadata.chains
+            for c in metadata.chains
             for g in c.gemms
         }
         for span in reads:
@@ -145,60 +151,51 @@ class TestBehaviour:
     def test_deterministic_timing(self):
         def once():
             cluster, ga, workload = fresh_workload()
-            return run_ptg(cluster, workload.subroutine, V4).execution_time
+            return run(workload, variant=V4).execution_time
 
         assert once() == once()
 
     def test_priorities_help_vs_v2_even_at_tiny_scale(self):
         """v4 (priorities) should not be slower than v2 (none)."""
         cluster, _, workload = fresh_workload(data_mode=DataMode.SYNTH)
-        t_v4 = run_ptg(cluster, workload.subroutine, V4).execution_time
+        t_v4 = run(workload, variant=V4).execution_time
         cluster, _, workload = fresh_workload(data_mode=DataMode.SYNTH)
-        t_v2 = run_ptg(cluster, workload.subroutine, V2).execution_time
+        t_v2 = run(workload, variant=V2).execution_time
         assert t_v4 <= t_v2 * 1.05
 
     def test_synth_mode_executes_full_graph(self):
         cluster, ga, workload = fresh_workload(data_mode=DataMode.SYNTH)
-        run = run_ptg(cluster, workload.subroutine, V5)
-        assert run.result.n_tasks > 3 * workload.subroutine.n_gemms
-        assert run.execution_time > 0
+        result = run(workload, variant=V5)
+        assert result.n_tasks > 3 * workload.subroutine.n_gemms
+        assert result.execution_time > 0
 
 
 class TestIntegration:
+    """Fig. 3: port some levels to PaRSEC, the rest stays legacy."""
+
     def test_mixed_iteration_runs_kernels_in_order(self):
-        cluster, ga, workload = fresh_workload()
-        # split the chains into two pseudo-subroutines
-        from repro.tce.subroutine import Subroutine
-
-        chains = workload.subroutine.chains
-        half = len(chains) // 2
-        # re-number so each subroutine's chain ids are dense
-        sub_a = Subroutine(
-            "icsd_t2_7", chains[:half], workload.subroutine.inputs, workload.i2
+        cluster = Cluster(ClusterConfig(n_nodes=4, cores_per_node=2))
+        workload = CcsdWorkload(
+            cluster,
+            GlobalArrays(cluster),
+            tiny_system().orbital_space(),
+            terms=(TermSpec("icsd_t2_7", "hp"), TermSpec("icsd_t2_8", "pp", level=1)),
         )
-        import dataclasses
-
-        renumbered = [
-            dataclasses.replace(c, chain_id=i) for i, c in enumerate(chains[half:])
-        ]
-        sub_b = Subroutine(
-            "icsd_t2_8", renumbered, workload.subroutine.inputs, workload.i2
-        )
-        driver = NwchemDriver(cluster, ga, parsec_kernels={"icsd_t2_7"})
-        result = driver.run([sub_a, sub_b])
-        assert [k.mode for k in result.kernels] == ["parsec", "legacy"]
-        t2_7 = result.timing("icsd_t2_7")
-        t2_8 = result.timing("icsd_t2_8")
-        assert t2_7.end <= t2_8.start + 1e-12  # strictly sequenced
+        result = run(workload, runtime=["v5", "legacy"])
+        assert [r.runtime_name for r in result.levels] == ["parsec", "legacy"]
+        # strictly sequenced: the steps and the barrier between them
+        parsec, legacy = result.levels
+        assert result.execution_time > parsec.execution_time + legacy.execution_time
         # and the combined numerics still match the dense reference
-        expected = compute_reference(workload)
         np.testing.assert_allclose(
-            workload.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
+            workload.i2.flat_values(),
+            workload.reference_values(),
+            rtol=1e-12,
+            atol=1e-12,
         )
 
     def test_all_parsec_driver(self):
         cluster, ga, workload = fresh_workload()
-        driver = NwchemDriver(cluster, ga)  # parsec_kernels=None -> all
-        result = driver.run([workload.subroutine])
-        assert result.kernels[0].mode == "parsec"
+        result = run(workload, runtime=["v5"])
+        assert result.runtime_name == "parsec"
         assert result.execution_time > 0

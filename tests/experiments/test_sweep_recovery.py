@@ -11,9 +11,12 @@ the whole grid.
 import os
 import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.experiments import sweep
 from repro.experiments.sweep import (
     CellError,
     CellTimeoutError,
@@ -108,6 +111,30 @@ class TestWorkerDeathRecovery:
         assert healthy == serial
         assert stats.cell_errors == {"bad": "poisoned"}
         assert list(results) == [(i,) for i in range(5)] + [("bad",)]
+
+    def test_break_raised_by_submit_takes_the_respawn_path(self, monkeypatch):
+        """CPython raises BrokenProcessPool from ``submit`` itself when a
+        worker died while the window refills; that break must respawn
+        the pool and re-run the in-flight suspects, like a break seen
+        on a result."""
+
+        class BreaksOnThirdSubmit(ProcessPoolExecutor):
+            submits = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                BreaksOnThirdSubmit.submits += 1
+                if BreaksOnThirdSubmit.submits == 3:
+                    raise BrokenProcessPool("worker died during refill")
+                return super().submit(fn, *args, **kwargs)
+
+        serial, _ = SweepExecutor(jobs=1).run(_cells(6))
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", BreaksOnThirdSubmit)
+        parallel, stats = SweepExecutor(jobs=3, retry=FAST_RETRY).run(_cells(6))
+        assert parallel == serial
+        assert stats.pool_kills == 1
+        assert not stats.cell_errors
+        # the two cells in flight at the break re-run as suspects
+        assert stats.retries == 2
 
     def test_partial_result_at_higher_job_counts(self):
         serial, _ = SweepExecutor(jobs=1).run(_cells(8))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dtd_port import run_over_dtd
-from repro.core.executor import run_ptg
+from repro.core.api import run
 from repro.core.variants import V5
 from repro.ga.runtime import GlobalArrays
 from repro.parsec.dtd import AccessMode, DtdRuntime
@@ -154,7 +154,7 @@ class TestCcsdOverDtd:
         run_over_dtd(cluster, workload.subroutine)
         dtd_energy = correlation_energy(workload.i2.flat_values())
         cluster, workload = fresh()
-        run_ptg(cluster, workload.subroutine, V5)
+        run(workload, variant=V5)
         ptg_energy = correlation_energy(workload.i2.flat_values())
         assert dtd_energy == pytest.approx(ptg_energy, rel=1e-13)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.executor import run_ptg
+from repro.core.api import run
 from repro.core.variants import V5
 from repro.ga.runtime import GlobalArrays
 from repro.sim.cluster import Cluster, ClusterConfig, DataMode
@@ -27,8 +27,7 @@ def make_run(gpus_per_node=0, cores=2, data_mode=DataMode.REAL, **overrides):
     )
     ga = GlobalArrays(cluster)
     workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-    run = run_ptg(cluster, workload.subroutine, V5)
-    return cluster, workload, run
+    return cluster, workload, run(workload, variant=V5)
 
 
 class TestHybridExecution:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.executor import run_ptg
+from repro.core.api import RunConfig, run
 from repro.core.variants import V4
 from repro.ga.runtime import GlobalArrays
 from repro.parsec.scheduler import SchedulerPolicy
@@ -62,12 +62,12 @@ class TestPolicies:
         )
         ga = GlobalArrays(cluster)
         workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-        run = run_ptg(cluster, workload.subroutine, V4, policy=policy)
+        result = run(workload, variant=V4, config=RunConfig(policy=policy))
         expected = compute_reference(workload)
         np.testing.assert_allclose(
             workload.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
-        assert run.execution_time > 0
+        assert result.execution_time > 0
 
     def test_policies_produce_different_schedules(self):
         def time_for(policy):
@@ -76,9 +76,8 @@ class TestPolicies:
             )
             ga = GlobalArrays(cluster)
             workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-            return run_ptg(
-                cluster, workload.subroutine, V4, policy=policy
-            ).execution_time
+            config = RunConfig(policy=policy)
+            return run(workload, variant=V4, config=config).execution_time
 
         times = {policy: time_for(policy) for policy in SchedulerPolicy}
         # at least two disciplines must schedule observably differently

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.executor import run_ptg
-from repro.core.integration import NwchemDriver
+from repro.core.api import run
 from repro.core.variants import V4, V5
 from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyRuntime
@@ -18,6 +17,7 @@ from repro.tce.reference import (
 )
 from repro.tce.terms import TermBuilder, TermSpec, build_term
 from repro.util.errors import ConfigurationError
+from repro.workloads.ccsd import CcsdWorkload
 
 
 def make_env(n_nodes=4, cores=2, data_mode=DataMode.REAL):
@@ -82,8 +82,11 @@ class TestTermBuilder:
 
     def test_ladder_term_over_parsec_matches_reference(self):
         cluster, ga = make_env()
-        sub = build_term(ga, tiny_system().orbital_space(), TermSpec("lad", "pp"))
-        run_ptg(cluster, sub, V5)
+        workload = CcsdWorkload(
+            cluster, ga, tiny_system().orbital_space(), terms=(TermSpec("lad", "pp"),)
+        )
+        run(workload, variant=V5)
+        (sub,) = workload.subroutines
         expected = compute_subroutine_reference(sub)
         np.testing.assert_allclose(
             sub.output.flat_values(), expected, rtol=1e-12, atol=1e-12
@@ -91,8 +94,11 @@ class TestTermBuilder:
 
     def test_one_index_term_over_parsec_matches_reference(self):
         cluster, ga = make_env()
-        sub = build_term(ga, tiny_system().orbital_space(), TermSpec("one", "h"))
-        run_ptg(cluster, sub, V4)
+        workload = CcsdWorkload(
+            cluster, ga, tiny_system().orbital_space(), terms=(TermSpec("one", "h"),)
+        )
+        run(workload, variant=V4)
+        (sub,) = workload.subroutines
         expected = compute_subroutine_reference(sub)
         np.testing.assert_allclose(
             sub.output.flat_values(), expected, rtol=1e-12, atol=1e-12
@@ -134,31 +140,32 @@ class TestCcsdIteration:
         )
 
     def test_mixed_driver_iteration_matches_reference(self):
-        """Port only icsd_t2_7 + the ladders; the rest stays legacy."""
+        """Port only the levels of icsd_t2_7 + the ladders (3 and 6);
+        the rest stays legacy."""
         cluster, ga = make_env()
-        iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
-        driver = NwchemDriver(
-            cluster, ga, parsec_kernels={"icsd_t2_7", "icsd_t2_8", "icsd_t2_13"}
-        )
-        result = driver.run(iteration.subroutines)
-        modes = {k.name: k.mode for k in result.kernels}
-        assert modes["icsd_t2_7"] == "parsec"
-        assert modes["icsd_t2_1"] == "legacy"
-        expected = compute_iteration_reference(iteration.subroutines)
+        workload = CcsdWorkload(cluster, ga, tiny_system().orbital_space())
+        plan = ["legacy"] * 3 + ["v5", "legacy", "legacy", "v5"]
+        result = run(workload, runtime=plan)
+        assert [r.runtime_name for r in result.levels] == [
+            "legacy",
+            "parsec",
+            "legacy",
+            "parsec",
+        ]
+        expected = compute_iteration_reference(workload.subroutines)
         np.testing.assert_allclose(
-            iteration.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
+            workload.i2.flat_values(), expected, rtol=1e-12, atol=1e-12
         )
 
     def test_fully_ported_iteration_energy_matches_legacy(self):
-        def run(parsec_kernels):
+        def energy(runtime):
             cluster, ga = make_env()
-            iteration = build_ccsd_iteration(ga, tiny_system().orbital_space())
-            driver = NwchemDriver(cluster, ga, parsec_kernels=parsec_kernels)
-            driver.run(iteration.subroutines)
-            return correlation_energy(iteration.i2.flat_values())
+            workload = CcsdWorkload(cluster, ga, tiny_system().orbital_space())
+            run(workload, runtime=runtime)
+            return correlation_energy(workload.i2.flat_values())
 
-        legacy_energy = run(parsec_kernels=set())
-        parsec_energy = run(parsec_kernels=None)  # all ported
+        legacy_energy = energy("legacy")
+        parsec_energy = energy("v5")  # all ported
         assert parsec_energy == pytest.approx(legacy_energy, rel=1e-13)
 
     def test_iteration_reference_requires_subroutines(self):

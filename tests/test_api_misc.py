@@ -3,7 +3,8 @@
 import pytest
 
 import repro
-from repro.core.executor import run_ptg
+from repro.core.api import RunConfig, run
+from repro.core.inspector import inspect_subroutine
 from repro.core.variants import V5
 from repro.experiments.fig9 import Fig9Result
 from repro.ga.runtime import GlobalArrays
@@ -26,9 +27,10 @@ class TestTopLevelApi:
         )
         ga = repro.GlobalArrays(cluster)
         workload = repro.build_t2_7(cluster, ga, repro.tiny_system().orbital_space())
-        run = repro.run_ptg(cluster, workload.subroutine, repro.V5)
-        assert "icsd_t2_7" in run.describe()
-        assert run.execution_time > 0
+        result = repro.run(workload, variant=repro.V5)
+        assert result.report.workload == "icsd_t2_7"
+        assert result.variant == "v5"
+        assert result.execution_time > 0
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
@@ -72,10 +74,11 @@ class TestDescriptions:
         cluster = Cluster(ClusterConfig(n_nodes=2, data_mode=DataMode.SYNTH))
         ga = GlobalArrays(cluster)
         workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-        run = run_ptg(cluster, workload.subroutine, V5)
-        assert "v5" in run.describe()
+        result = run(workload, variant=V5)
+        assert "parsec" in result.summary()
         assert "chains" in workload.subroutine.describe()
-        assert "icsd_t2_7" in run.metadata.describe()
+        metadata = inspect_subroutine(workload.subroutine, cluster, V5)
+        assert "icsd_t2_7" in metadata.describe()
 
     def test_fig9_chart_and_best(self):
         times = {
@@ -123,7 +126,6 @@ class TestTraceRecorderExtras:
 
 class TestIntegrationDriverConfig:
     def test_driver_honours_legacy_config(self):
-        from repro.core.integration import NwchemDriver
         from repro.legacy.runtime import LegacyConfig
 
         cluster = Cluster(
@@ -131,27 +133,23 @@ class TestIntegrationDriverConfig:
         )
         ga = GlobalArrays(cluster)
         workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-        driver = NwchemDriver(
-            cluster,
-            ga,
-            parsec_kernels=set(),  # everything legacy
-            legacy_config=LegacyConfig(use_nxtval=False),
-        )
-        result = driver.run([workload.subroutine])
-        assert result.kernels[0].mode == "legacy"
+        config = RunConfig(legacy=LegacyConfig(use_nxtval=False))
+        result = run(workload, runtime=["legacy"], config=config)
+        assert result.runtime_name == "legacy"
         # static mode: no nxtval traffic at all
+        assert result.nxtval_requests == 0
         assert cluster.network.messages_sent > 0
 
-    def test_uses_parsec_predicate(self):
-        from repro.core.integration import NwchemDriver
+    def test_plan_entry_picks_each_levels_runtime(self):
+        def once(plan):
+            cluster = Cluster(ClusterConfig(n_nodes=2))
+            workload = build_t2_7(
+                cluster, GlobalArrays(cluster), tiny_system().orbital_space()
+            )
+            return run(workload, runtime=plan)
 
-        cluster = Cluster(ClusterConfig(n_nodes=2))
-        ga = GlobalArrays(cluster)
-        workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
-        driver_all = NwchemDriver(cluster, ga)
-        driver_none = NwchemDriver(cluster, ga, parsec_kernels=set())
-        assert driver_all.uses_parsec(workload.subroutine)
-        assert not driver_none.uses_parsec(workload.subroutine)
+        assert once(["v5"]).runtime_name == "parsec"
+        assert once(["legacy"]).runtime_name == "legacy"
 
 
 class TestOpCostHelpers:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.executor import run_ptg
+from repro.core.api import run as run_workload
 from repro.core.inspector import _build_reduce_tree, _build_segments
 from repro.core.variants import V1, V5
 from repro.ga.runtime import GlobalArrays
@@ -252,7 +252,7 @@ class TestEndToEndProperties:
             if kind == "legacy":
                 LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
             else:
-                run_ptg(cluster, workload.subroutine, V1)
+                run_workload(workload, variant=V1)
             return workload.i2.flat_values()
 
         np.testing.assert_array_equal(run("legacy"), run("v1"))
@@ -271,7 +271,7 @@ class TestEndToEndProperties:
             if kind == "legacy":
                 LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
             else:
-                run_ptg(cluster, workload.subroutine, V5)
+                run_workload(workload, variant=V5)
             return workload.i2.flat_values()
 
         np.testing.assert_allclose(run("legacy"), run("v5"), rtol=1e-12, atol=1e-12)

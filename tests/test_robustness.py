@@ -9,7 +9,7 @@ never a silent hang or wrong numbers.
 import numpy as np
 import pytest
 
-from repro.core.executor import run_ptg
+from repro.core.api import run
 from repro.core.variants import V5
 from repro.ga.runtime import GlobalArrays
 from repro.legacy.runtime import LegacyRuntime
@@ -206,7 +206,7 @@ class TestRepeatability:
         workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
         expected = compute_reference(workload)
         LegacyRuntime(cluster, ga).execute_subroutine(workload.subroutine)
-        run_ptg(cluster, workload.subroutine, V5)
+        run(workload, variant=V5)
         np.testing.assert_allclose(
             workload.i2.flat_values(), 2.0 * expected, rtol=1e-12, atol=1e-12
         )
@@ -221,7 +221,7 @@ class TestRepeatability:
         workload = build_t2_7(cluster, ga, tiny_system().orbital_space())
         expected = compute_reference(workload)
         for _ in range(3):
-            run_ptg(cluster, workload.subroutine, V5)
+            run(workload, variant=V5)
         np.testing.assert_allclose(
             workload.i2.flat_values(), 3.0 * expected, rtol=1e-12, atol=1e-12
         )
