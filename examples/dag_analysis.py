@@ -2,9 +2,10 @@
 
 The paper argues variant behaviour from structure: serial GEMM chains
 (v1) trade parallelism for locality, segmented chains (v2-v5) invert
-the trade. With the task graph materialized as a networkx DAG we can
-*measure* that structure without running anything: total work, critical
-path (span), and the work/span bound on useful parallelism.
+the trade. Walking the instantiated task graph along its dataflow
+edges, with each task weighted by its modeled cost, we can *measure*
+that structure without running anything: total work, critical path
+(span), and the work/span bound on useful parallelism.
 
 Also exports a Chrome trace of a v5 run — open it at
 https://ui.perfetto.dev or chrome://tracing to browse the simulated

@@ -20,7 +20,7 @@ from repro.analysis.gantt import render_gantt
 from repro.analysis.report import format_table, format_fig9_table
 from repro.analysis.ascii_chart import render_series_chart
 from repro.analysis.chrome_trace import to_chrome_trace, write_chrome_trace
-from repro.analysis.dag import DagProfile, profile_task_graph, task_graph_to_networkx
+from repro.analysis.dag import DagProfile, profile_task_graph
 
 __all__ = [
     "blocking_comm_fraction",
@@ -38,5 +38,4 @@ __all__ = [
     "write_chrome_trace",
     "DagProfile",
     "profile_task_graph",
-    "task_graph_to_networkx",
 ]

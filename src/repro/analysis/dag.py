@@ -1,10 +1,10 @@
-"""Task-graph structure analysis via networkx.
+"""Task-graph structure analysis: work, span and parallelism.
 
 The paper's Section IV-A argument — segmenting the GEMM chains
 "increases available parallelism" — is a statement about the task DAG's
-*critical path*. This module materializes an instantiated
-:class:`~repro.parsec.ptg.TaskGraph` as a networkx DiGraph weighted by
-each task's modeled cost, and computes:
+*critical path*. This module walks an instantiated
+:class:`~repro.parsec.ptg.TaskGraph` along its output deps, weights
+each task by its modeled cost, and computes:
 
 - the critical path length (a lower bound on any execution time),
 - total work (the serial execution time),
@@ -12,20 +12,30 @@ each task's modeled cost, and computes:
   cores),
 
 so structural claims like "v5's DAG is far wider than v1's" can be
-checked without running the simulator at all.
+checked without running the simulator at all. The graph algorithms
+(Kahn's topological order, the longest node-weighted path) are a few
+lines each, so the analysis needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Hashable, Iterable, Mapping, TypeVar
 
 from repro.parsec.ptg import TaskGraph
 from repro.sim.cost import MachineModel, OpCost
 from repro.sim.trace import TaskCategory
 
-__all__ = ["DagProfile", "task_graph_to_networkx", "profile_task_graph"]
+__all__ = [
+    "DagProfile",
+    "task_successors",
+    "topological_order",
+    "longest_path",
+    "profile_task_graph",
+]
+
+K = TypeVar("K", bound=Hashable)
 
 
 def _estimate_cost(instance, md, machine: MachineModel) -> float:
@@ -70,25 +80,85 @@ def _estimate_cost(instance, md, machine: MachineModel) -> float:
     return machine.task_overhead_s
 
 
-def task_graph_to_networkx(graph: TaskGraph, machine: MachineModel) -> nx.DiGraph:
-    """Materialize the instantiated task graph with cost-weighted nodes."""
+def task_successors(graph: TaskGraph) -> dict[tuple, list[tuple]]:
+    """Successor lists of the instantiated graph, keyed by task key.
+
+    Follows every active output dep, as the runtime's completion path
+    does; several deps from one producer to the same consumer make one
+    edge. Lists keep the graph's instance and dep order.
+    """
     md = graph.md
-    dag = nx.DiGraph()
+    successors: dict[tuple, list[tuple]] = {}
     for key, instance in graph.instances.items():
-        dag.add_node(
-            key,
-            cost=_estimate_cost(instance, md, machine),
-            category=instance.cls.category.value,
-            node=instance.node,
-        )
-    for instance in graph.instances.values():
+        params = instance.params
+        targets: dict[tuple, None] = {}
         for flow in instance.cls.flows:
             for dep in flow.outputs:
-                if not dep.active(instance.params, md):
-                    continue
-                consumer = (dep.target_class, tuple(dep.param_map(instance.params, md)))
-                dag.add_edge(instance.key, consumer)
-    return dag
+                if dep.active(params, md):
+                    consumer = (dep.target_class, tuple(dep.param_map(params, md)))
+                    targets[consumer] = None
+        successors[key] = list(targets)
+    return successors
+
+
+def topological_order(successors: Mapping[K, Iterable[K]]) -> list[K]:
+    """Kahn's algorithm: every node after all of its predecessors.
+
+    Nodes that appear only as successors are included. Ties are broken
+    by first appearance, so the order is deterministic. Raises
+    ``ValueError`` if the graph has a cycle.
+    """
+    indegree: dict[K, int] = {}
+    for node, targets in successors.items():
+        indegree.setdefault(node, 0)
+        for target in targets:
+            indegree[target] = indegree.get(target, 0) + 1
+    queue = deque(node for node, count in indegree.items() if count == 0)
+    order: list[K] = []
+    while queue:
+        node = queue.popleft()
+        order.append(node)
+        for target in successors.get(node, ()):
+            indegree[target] -= 1
+            if indegree[target] == 0:
+                queue.append(target)
+    if len(order) != len(indegree):
+        raise ValueError(
+            f"graph has a cycle: {len(indegree) - len(order)} nodes unordered"
+        )
+    return order
+
+
+def longest_path(
+    costs: Mapping[K, float], successors: Mapping[K, Iterable[K]]
+) -> tuple[float, list[K]]:
+    """The heaviest path, summing node costs: ``(span, path)``.
+
+    The graph's nodes are the keys and targets of ``successors``. The
+    span is the maximum, over all paths, of the summed costs of the
+    nodes on the path; ``path`` lists one such path from source to
+    sink (the first found in topological order on ties). An empty graph
+    has span 0 and an empty path.
+    """
+    order = topological_order(successors)
+    if not order:
+        return 0.0, []
+    # best[node]: heaviest path ending at node, including its own cost
+    best = {node: costs[node] for node in order}
+    parent: dict[K, K] = {}
+    for node in order:
+        reach = best[node]
+        for target in successors.get(node, ()):
+            candidate = reach + costs[target]
+            if candidate > best[target]:
+                best[target] = candidate
+                parent[target] = node
+    end = max(order, key=best.__getitem__)
+    path = [end]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return best[end], path
 
 
 @dataclass(frozen=True)
@@ -111,20 +181,17 @@ class DagProfile:
 
 def profile_task_graph(graph: TaskGraph, machine: MachineModel) -> DagProfile:
     """Critical-path/work analysis of an instantiated task graph."""
-    dag = task_graph_to_networkx(graph, machine)
-    total_work = sum(data["cost"] for _, data in dag.nodes(data=True))
-    # longest path with node weights: push each node's cost onto its
-    # outgoing edges, then add the path head's cost
-    weighted = nx.DiGraph()
-    weighted.add_nodes_from(dag.nodes())
-    for u, v in dag.edges():
-        weighted.add_edge(u, v, w=dag.nodes[u]["cost"])
-    path = nx.dag_longest_path(weighted, weight="w")
-    span = sum(dag.nodes[node]["cost"] for node in path)
+    md = graph.md
+    costs = {
+        key: _estimate_cost(instance, md, machine)
+        for key, instance in graph.instances.items()
+    }
+    successors = task_successors(graph)
+    span, path = longest_path(costs, successors)
     return DagProfile(
-        n_tasks=dag.number_of_nodes(),
-        n_edges=dag.number_of_edges(),
-        total_work=total_work,
+        n_tasks=len(costs),
+        n_edges=sum(len(targets) for targets in successors.values()),
+        total_work=sum(costs.values()),
         critical_path=span,
         critical_length=len(path),
     )

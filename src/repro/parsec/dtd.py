@@ -57,10 +57,22 @@ class DataHandle:
     """One named piece of data tasks communicate through.
 
     Tracks the version chain the dependence matcher needs: the last
-    writer task and the readers of the current version.
+    writer task and the readers of the current version. ``_reads_left``
+    counts the inserted READ/RW accesses whose task has not yet
+    captured the value; when it reaches zero no task will read the
+    handle again and the runtime drops the value, so a payload lives
+    only until its last consumer has it.
     """
 
-    __slots__ = ("key", "size_elems", "home_node", "value", "_last_writer", "_readers")
+    __slots__ = (
+        "key",
+        "size_elems",
+        "home_node",
+        "value",
+        "_last_writer",
+        "_readers",
+        "_reads_left",
+    )
 
     def __init__(self, key: str, size_elems: int, home_node: int, value: Any = None):
         self.key = key
@@ -69,6 +81,7 @@ class DataHandle:
         self.value = value
         self._last_writer: Optional["DtdTask"] = None
         self._readers: list["DtdTask"] = []
+        self._reads_left = 0
 
     @property
     def nbytes(self) -> float:
@@ -226,6 +239,8 @@ class DtdRuntime:
             if mode not in (AccessMode.READ, AccessMode.RW, AccessMode.WRITE):
                 raise DataflowError(f"unknown access mode {mode!r}")
             predecessors: list[DtdTask] = []
+            if mode != AccessMode.WRITE:
+                handle._reads_left += 1
             if mode == AccessMode.READ:
                 if handle._last_writer is not None:
                     predecessors.append(handle._last_writer)
@@ -308,15 +323,23 @@ class DtdRuntime:
             if machine.task_overhead_s > 0:
                 yield timer.after(machine.task_overhead_s)
             context = DtdContext(task, self.cluster, node, thread, timer=timer)
+            # the context captured every accessed value: these reads are
+            # now satisfied
+            for handle, mode in task.accesses:
+                if mode != AccessMode.WRITE:
+                    handle._reads_left -= 1
             t_start = self.engine.now
             yield from task.body(context)
             node.trace.record(
                 node.node_id, thread, task.category, task.name, t_start, self.engine.now
             )
-            # publish written values back to the handles
+            # publish written values back to the handles, and free any
+            # value no later task will read
             for handle, mode in task.accesses:
                 if mode != AccessMode.READ:
                     handle.value = context.data.get(handle.key)
+                if handle._reads_left == 0:
+                    handle.value = None
             task.done = True
             self._on_complete(task)
 

@@ -198,7 +198,7 @@ class NodeScheduler:
         metrics = self.metrics
         md = self.runtime.md
         on_complete = self.runtime._on_complete
-        trace_record = node.trace.record
+        trace = node.trace
         node_id = node.node_id
         while True:
             # Hot path: work already queued. try_get + checkpoint resumes
@@ -240,25 +240,28 @@ class NodeScheduler:
             if not completed:
                 cluster.faults.note_abort(engine.now - t_start)
                 break  # epoch bumps only come from this node's own crash
-            trace_record(
-                node_id,
-                thread,
-                task.cls.category,
-                task.label,
-                t_start,
-                engine.now,
-                meta=(
-                    {"stolen_from": task.stolen_from}
-                    if task.stolen_from is not None
-                    else None
-                ),
-            )
+            if trace.enabled:
+                # the label is formatted only for a span that is kept
+                trace.record(
+                    node_id,
+                    thread,
+                    task.cls.category,
+                    task.label,
+                    t_start,
+                    engine.now,
+                    meta=(
+                        {"stolen_from": task.stolen_from}
+                        if task.stolen_from is not None
+                        else None
+                    ),
+                )
             task.done = True
             self.tasks_executed += 1
             if metrics.enabled:
                 metrics.inc("sched.tasks_executed", cls=task.cls.name)
                 metrics.observe("sched.task_duration_s", engine.now - t_start)
             on_complete(task, context)
+            task.release_inputs()
             if not node.alive:
                 break
 
@@ -319,23 +322,25 @@ class NodeScheduler:
             )
             if out_bytes > 0:
                 yield node.pcie.transfer(out_bytes)
-            node.trace.record(
-                node.node_id,
-                thread,
-                task.cls.category,
-                task.label,
-                t_start,
-                self.engine.now,
-                meta=(
-                    {"device": f"gpu{gpu}"}
-                    if task.stolen_from is None
-                    else {"device": f"gpu{gpu}", "stolen_from": task.stolen_from}
-                ),
-            )
+            if node.trace.enabled:  # see _worker: label only when kept
+                node.trace.record(
+                    node.node_id,
+                    thread,
+                    task.cls.category,
+                    task.label,
+                    t_start,
+                    self.engine.now,
+                    meta=(
+                        {"device": f"gpu{gpu}"}
+                        if task.stolen_from is None
+                        else {"device": f"gpu{gpu}", "stolen_from": task.stolen_from}
+                    ),
+                )
             task.done = True
             self.gpu_tasks_executed += 1
             if self.metrics.enabled:
                 self.metrics.inc("sched.gpu_tasks_executed", cls=task.cls.name)
             self.runtime._on_complete(task, context)
+            task.release_inputs()
             if not node.alive:
                 break

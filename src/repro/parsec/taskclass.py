@@ -226,6 +226,18 @@ class TaskInstance:
             tags = [tags]
         return tags
 
+    def release_inputs(self) -> None:
+        """Drop the received payloads once the task is done.
+
+        A data-repository entry lives only until its consumers have run:
+        after completion has handed the outputs on, nothing reads a done
+        task's inputs again (crash re-homing, transient retries and
+        steal migration all skip done tasks), so keeping them would hold
+        every intermediate tile alive until the graph itself is freed.
+        """
+        self.inputs = {}
+        self.input_tags = {}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TaskInstance({self.label} @node{self.node})"
 

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.analysis.ascii_chart import render_series_chart
-from repro.analysis.dag import profile_task_graph, task_graph_to_networkx
+from repro.analysis.dag import (
+    longest_path,
+    profile_task_graph,
+    task_successors,
+    topological_order,
+)
 from repro.core.inspector import inspect_subroutine
 from repro.core.ptg_build import build_ccsd_ptg
 from repro.core.variants import V1, V5
@@ -23,14 +28,36 @@ def make_graph(variant, system=None):
 
 
 class TestDagAnalysis:
-    def test_networkx_export_is_a_dag(self):
-        import networkx as nx
+    def test_topological_order_covers_every_task(self):
+        graph, _, _ = make_graph(V5)
+        successors = task_successors(graph)
+        order = topological_order(successors)
+        assert sorted(order) == sorted(graph.instances)
+        position = {key: i for i, key in enumerate(order)}
+        for key, targets in successors.items():
+            assert all(position[key] < position[target] for target in targets)
 
-        graph, machine, _ = make_graph(V5)
-        dag = task_graph_to_networkx(graph, machine)
-        assert nx.is_directed_acyclic_graph(dag)
-        assert dag.number_of_nodes() == len(graph)
-        assert all(data["cost"] >= 0 for _, data in dag.nodes(data=True))
+    def test_hand_built_dag_span(self):
+        # a(1) -> b(2) -> d(4) -> e(5) is the heaviest path (12); the
+        # branch through c(3) is shorter (1 + 3 + 5 = 9)
+        costs = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0, "e": 5.0}
+        successors = {"a": ["b", "c"], "b": ["d"], "c": ["e"], "d": ["e"]}
+        span, path = longest_path(costs, successors)
+        assert span == 12.0
+        assert path == ["a", "b", "d", "e"]
+        assert topological_order(successors)[0] == "a"
+
+    def test_span_counts_an_expensive_sink(self):
+        costs = {"a": 1.0, "b": 100.0, "c": 1.0, "d": 1.0}
+        successors = {"a": ["b", "c"], "c": ["d"]}
+        assert longest_path(costs, successors) == (101.0, ["a", "b"])
+
+    def test_cycle_is_rejected(self):
+        with pytest.raises(ValueError, match="cycle"):
+            topological_order({"a": ["b"], "b": ["a"]})
+
+    def test_empty_graph(self):
+        assert longest_path({}, {}) == (0.0, [])
 
     def test_profile_invariants(self):
         graph, machine, _ = make_graph(V5)

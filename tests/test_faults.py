@@ -475,6 +475,21 @@ class TestChaosSweep:
         assert outcome.deterministic
         assert outcome.faults_recovered
 
+    def test_ccsd_stealing_under_faults_recovers_bitwise(self):
+        """The multi-level workload, whose WRITE flows take several
+        deliveries, under faults and stealing: re-homed, retried and
+        stolen tasks still find their inputs even though every
+        finished task has released its own."""
+        from repro.experiments.chaos import run_chaos
+
+        result = run_chaos(
+            workload="ccsd", codes=["v5"], stealing=True, scale="tiny"
+        )
+        (outcome,) = result.outcomes
+        assert outcome.bitwise_match
+        assert outcome.deterministic
+        assert outcome.faults_recovered
+
     def test_codes_subset_restricts_the_sweep(self):
         from repro.experiments.chaos import run_chaos
 
